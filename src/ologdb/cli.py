@@ -19,7 +19,7 @@ from .dsl import parse_schema, serialize_schema
 from .instance import (
     Instance,
     elements,
-    instance_from_json,
+    instance_from_dict,
     instance_to_json,
     validate,
 )
@@ -90,7 +90,7 @@ def _load_instance(path: FsPath, ws: Workspace,
             f"but {expect!r} was given"
         )
     schema = ws.schema(name)
-    return instance_from_json(path.read_text("utf-8"), schema)
+    return instance_from_dict(data, schema)
 
 
 def _load_translation(path: FsPath, ws: Workspace) -> Translation:
@@ -192,8 +192,7 @@ def cmd_elements(args: argparse.Namespace) -> int:
             for m in cat.morphisms
         ],
         "fibers": {
-            v: [r for (vv, r) in cat.objects if vv == v]
-            for v in instance.schema.graph.vertices
+            v: [r for _, r in cat.fiber(v)] for v in instance.schema.graph.vertices
         },
     }
     print(json.dumps(out, sort_keys=True, ensure_ascii=False, indent=2))

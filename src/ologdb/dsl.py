@@ -85,10 +85,6 @@ def path_from_expr(schema: Schema, expr: str) -> Path:
     return schema.path(segment_arrow_word(schema, expr))
 
 
-def path_to_expr(p: Path) -> str:
-    return str(p)
-
-
 def parse_schema(text: str, name: str) -> Schema:
     """Parse the schema DSL; raises DslParseError with line/column info."""
     vertices: List[str] = []

@@ -158,28 +158,44 @@ def validate(instance: Instance) -> ValidationReport:
                 report.dangling.append({"arrow": a, "row": r, "target": val})
 
     for eq in schema.equivalences:
-        bad_rows: List[str] = []
-        for r in sorted(instance.rows(eq.lhs.start)):
-            try:
-                left = eval_path(instance, eq.lhs, r)
-                right = eval_path(instance, eq.rhs, r)
-            except OlogError:
-                continue  # already reported as totality/dangling
-            if left != right:
-                bad_rows.append(r)
+        bad_rows = differing_rows(instance, eq)
         if bad_rows:
             report.equivalence.append({"equation": str(eq), "rows": bad_rows})
     return report
+
+
+def follow_path(instance: Instance, p: Path, row: str) -> str:
+    """Follow p's arrows through the columns from a row of p's source table.
+
+    Raises MissingCellError where a column has no value on the way.
+    """
+    at = row
+    for a in p.arrows:
+        at = instance.cell(a, at)
+    return at
+
+
+def differing_rows(instance: Instance, eq: PathEquivalence) -> List[str]:
+    """Sorted rows of eq's source table where its two sides evaluate apart.
+
+    Rows where a side is undefined are skipped; ``validate`` reports those
+    as totality or dangling problems.
+    """
+    bad: List[str] = []
+    for r in sorted(instance.rows(eq.lhs.start)):
+        try:
+            if follow_path(instance, eq.lhs, r) != follow_path(instance, eq.rhs, r):
+                bad.append(r)
+        except MissingCellError:
+            continue
+    return bad
 
 
 def eval_path(instance: Instance, p: Path, row: str) -> str:
     """Evaluate a path as a composite of column functions; id is a no-op."""
     if not instance.has_row(p.start, row):
         raise UnknownRowError(p.start, row)
-    at = row
-    for a in p.arrows:
-        at = instance.cell(a, at)
-    return at
+    return follow_path(instance, p, row)
 
 
 # -- progressive updates ------------------------------------------------------
@@ -285,12 +301,6 @@ class ElementsCategory:
 
     def fiber(self, vertex: VertexId) -> Tuple[Tuple[VertexId, str], ...]:
         return tuple(o for o in self.objects if o[0] == vertex)
-
-    def project_object(self, obj: Tuple[VertexId, str]) -> VertexId:
-        return obj[0]
-
-    def project_morphism(self, m: ElementsMorphism) -> ArrowId:
-        return m.arrow
 
     def out_degree(self, obj: Tuple[VertexId, str]) -> int:
         return sum(1 for m in self.morphisms if m.source == obj)

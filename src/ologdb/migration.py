@@ -20,7 +20,6 @@ from .schema import (
     OlogError,
     Path,
     PathEquivalence,
-    PathPartition,
     Schema,
     UnionFind,
     VertexId,
@@ -29,7 +28,13 @@ from .schema import (
     enumerate_paths,
     trivial_path,
 )
-from .instance import Instance, InvalidInstanceError, make_instance, validate
+from .instance import (
+    Instance,
+    InvalidInstanceError,
+    follow_path,
+    make_instance,
+    validate,
+)
 
 
 class TranslationError(OlogError):
@@ -140,6 +145,35 @@ def check_translation(t: Translation, max_len: int = DEFAULT_MAX_LEN) -> Transla
     derived within the bound is reported as NotDerivableWithinBound, which is
     a warning, not a failure.
     """
+    report = _check_structure(t)
+    if report.ok and t.source.equivalences:
+        images = [
+            PathEquivalence(t.path_image(eq.lhs), t.path_image(eq.rhs))
+            for eq in t.source.equivalences
+        ]
+        needed = max(
+            [max_len]
+            + [len(eq.lhs) for eq in t.target.equivalences]
+            + [len(eq.rhs) for eq in t.target.equivalences]
+        )
+        partition = congruence_closure(t.target, needed)
+        for src_eq, img in zip(t.source.equivalences, images):
+            derivable = img.lhs == img.rhs or (
+                len(img.lhs) <= needed
+                and len(img.rhs) <= needed
+                and partition.same(img.lhs, img.rhs)
+            )
+            status = (
+                Derivability.DERIVABLE
+                if derivable
+                else Derivability.NOT_DERIVABLE_WITHIN_BOUND
+            )
+            report.equivalence_status.append((src_eq, status))
+    return report
+
+
+def _check_structure(t: Translation) -> TranslationReport:
+    """The hard-error half of ``check_translation``: totality and endpoints."""
     report = TranslationReport()
     for v in t.source.graph.vertices:
         if v not in t.vmap:
@@ -168,32 +202,6 @@ def check_translation(t: Translation, max_len: int = DEFAULT_MAX_LEN) -> Transla
                 {"arrow": a, "expected": f"{want[0]}->{want[1]}",
                  "got": f"{got[0]}->{got[1]}"}
             )
-    if report.endpoint_violations:
-        return report
-
-    if t.source.equivalences:
-        images = [
-            PathEquivalence(t.path_image(eq.lhs), t.path_image(eq.rhs))
-            for eq in t.source.equivalences
-        ]
-        needed = max(
-            [max_len]
-            + [len(eq.lhs) for eq in t.target.equivalences]
-            + [len(eq.rhs) for eq in t.target.equivalences]
-        )
-        partition = congruence_closure(t.target, needed)
-        for src_eq, img in zip(t.source.equivalences, images):
-            derivable = img.lhs == img.rhs or (
-                len(img.lhs) <= needed
-                and len(img.rhs) <= needed
-                and partition.same(img.lhs, img.rhs)
-            )
-            status = (
-                Derivability.DERIVABLE
-                if derivable
-                else Derivability.NOT_DERIVABLE_WITHIN_BOUND
-            )
-            report.equivalence_status.append((src_eq, status))
     return report
 
 
@@ -222,12 +230,6 @@ class CommaCategory:
     objects: Tuple[CommaObject, ...]
     morphisms: Tuple[CommaMorphism, ...]
 
-    def project_left(self, o: CommaObject) -> VertexId:
-        return o.left
-
-    def project_right(self, o: CommaObject) -> VertexId:
-        return o.right
-
 
 def comma(F: Translation, G: Translation, max_len: int = DEFAULT_MAX_LEN) -> CommaCategory:
     """The comma category (F down-to G) with morphism components up to
@@ -239,22 +241,10 @@ def comma(F: Translation, G: Translation, max_len: int = DEFAULT_MAX_LEN) -> Com
     apex = F.target
     apex_part = congruence_closure(apex, max_len)
 
-    def classes_between(x: VertexId, y: VertexId, part: PathPartition,
-                        schema: Schema) -> List[Path]:
-        reps = []
-        seen = set()
-        for p in enumerate_paths(schema, x, y, max_len):
-            rep = part.representative(p)
-            if rep.key() not in seen:
-                seen.add(rep.key())
-                reps.append(rep)
-        return reps
-
     objects: List[CommaObject] = []
     for a in F.source.graph.vertices:
         for b in G.source.graph.vertices:
-            for f in classes_between(F.vertex_image(a), G.vertex_image(b),
-                                     apex_part, apex):
+            for f in apex_part.hom(F.vertex_image(a), G.vertex_image(b)):
                 objects.append(CommaObject(a, b, f))
 
     left_part = congruence_closure(F.source, max_len)
@@ -262,10 +252,8 @@ def comma(F: Translation, G: Translation, max_len: int = DEFAULT_MAX_LEN) -> Com
     morphisms: List[CommaMorphism] = []
     for o1 in objects:
         for o2 in objects:
-            qs = classes_between(o1.left, o2.left, left_part, F.source)
-            rs = classes_between(o1.right, o2.right, right_part, G.source)
-            for q in qs:
-                for r in rs:
+            for q in left_part.hom(o1.left, o2.left):
+                for r in right_part.hom(o1.right, o2.right):
                     # square: G(r) . f1  ==  f2 . F(q)   (diagrammatic order)
                     try:
                         lhs = compose(F.path_image(q), o2.f)
@@ -327,29 +315,13 @@ def sigma(
     report = validate(I)
     if not report.ok:
         raise InvalidInstanceError(report)
-    check = check_translation(F, max_len)
+    check = _check_structure(F)
     if not check.ok:
         raise TranslationError("; ".join(check.hard_errors))
 
     if mode is SigmaMode.DISJOINT_UNION:
         return _sigma_disjoint(F, I, max_len)
     return _sigma_colimit(F, I, max_len)
-
-
-def _class_reps_into(target: Schema, part: PathPartition, d: VertexId,
-                     max_len: int) -> Dict[VertexId, List[Path]]:
-    """For each target vertex x, the class representatives of paths x -> d."""
-    out: Dict[VertexId, List[Path]] = {}
-    for x in target.graph.vertices:
-        reps: List[Path] = []
-        seen = set()
-        for p in enumerate_paths(target, x, d, max_len):
-            rep = part.representative(p)
-            if rep.key() not in seen:
-                seen.add(rep.key())
-                reps.append(rep)
-        out[x] = reps
-    return out
 
 
 def _sigma_colimit(F: Translation, I: Instance, max_len: int) -> Instance:
@@ -360,12 +332,10 @@ def _sigma_colimit(F: Translation, I: Instance, max_len: int) -> Instance:
     # f: F(v) -> d, row in I(v).
     uf = UnionFind()
     copies: Dict[VertexId, List[Tuple[VertexId, Path, str]]] = {}
-    reps_into: Dict[VertexId, Dict[VertexId, List[Path]]] = {}
     for d in target.graph.vertices:
-        reps_into[d] = _class_reps_into(target, part, d, max_len)
         copies[d] = []
         for v in F.source.graph.vertices:
-            for f in reps_into[d][F.vertex_image(v)]:
+            for f in part.hom(F.vertex_image(v), d):
                 for row in I.rows(v):
                     key = (d, v, f.key(), row)
                     uf.add(key)
@@ -377,7 +347,7 @@ def _sigma_colimit(F: Translation, I: Instance, max_len: int) -> Instance:
         for q in F.source.graph.arrows:
             v1, v2 = F.source.graph.src[q], F.source.graph.tar[q]
             fq = F.arrow_image(q)
-            for f2 in reps_into[d][F.vertex_image(v2)]:
+            for f2 in part.hom(F.vertex_image(v2), d):
                 composite = compose(fq, f2)
                 if len(composite) > max_len:
                     continue
@@ -496,10 +466,7 @@ def _sigma_disjoint(F: Translation, I: Instance, max_len: int) -> Instance:
             if q is None:
                 continue
             for row in I.rows(v):
-                at = row
-                for a in q.arrows:
-                    at = I.cell(a, at)
-                col[row_id[(v, row)]] = row_id[(q.end, at)]
+                col[row_id[(v, row)]] = row_id[(q.end, follow_path(I, q, row))]
         if col:
             columns[g] = col
     return make_instance(target, tables, columns)

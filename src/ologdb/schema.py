@@ -282,6 +282,28 @@ class Schema:
 # -- path enumeration --------------------------------------------------------
 
 
+def _walk(schema: Schema, start: VertexId, max_len: int) -> List[Path]:
+    """Every path out of ``start`` of length <= max_len, by depth-first search.
+
+    Output is ordered lexicographically by arrow-id sequence: a path comes
+    before its extensions, and ``Graph`` keeps out-arrows sorted.
+    """
+    out: List[Path] = []
+    word: List[ArrowId] = []
+
+    def walk(at: VertexId) -> None:
+        out.append(Path(start, at, tuple(word)))
+        if len(word) == max_len:
+            return
+        for a in schema.graph.out_arrows(at):
+            word.append(a)
+            walk(schema.graph.tar[a])
+            word.pop()
+
+    walk(start)
+    return out
+
+
 def enumerate_paths(
     schema: Schema, source: VertexId, target: VertexId, max_len: int
 ) -> List[Path]:
@@ -296,40 +318,12 @@ def enumerate_paths(
         raise UnknownVertexError(target)
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
-    out: List[Path] = []
-    word: List[ArrowId] = []
-
-    def walk(at: VertexId) -> None:
-        if at == target:
-            out.append(Path(source, target, tuple(word)))
-        if len(word) == max_len:
-            return
-        for a in sorted(schema.graph.out_arrows(at)):
-            word.append(a)
-            walk(schema.graph.tar[a])
-            word.pop()
-
-    walk(source)
-    return out
+    return [p for p in _walk(schema, source, max_len) if p.end == target]
 
 
 def all_paths_up_to(schema: Schema, max_len: int) -> List[Path]:
     """Every path of the schema of length <= max_len, deterministic order."""
-    out: List[Path] = []
-    word: List[ArrowId] = []
-
-    def walk(start: VertexId, at: VertexId) -> None:
-        out.append(Path(start, at, tuple(word)))
-        if len(word) == max_len:
-            return
-        for a in sorted(schema.graph.out_arrows(at)):
-            word.append(a)
-            walk(start, schema.graph.tar[a])
-            word.pop()
-
-    for v in schema.graph.vertices:
-        walk(v, v)
-    return out
+    return [p for v in schema.graph.vertices for p in _walk(schema, v, max_len)]
 
 
 # -- bounded congruence closure ----------------------------------------------
@@ -351,6 +345,7 @@ class PathPartition:
         }
         self._uf = uf
         self._groups: Optional[Dict[object, List[Path]]] = None
+        self._homs: Optional[Dict[Tuple[VertexId, VertexId], Tuple[Path, ...]]] = None
 
     def __contains__(self, p: Path) -> bool:
         return p.key() in self._index
@@ -379,6 +374,26 @@ class PathPartition:
     def representative(self, p: Path) -> Path:
         """Canonical (length-lex least) member of p's class."""
         return self.class_of(p)[0]
+
+    def hom(self, x: VertexId, y: VertexId) -> Tuple[Path, ...]:
+        """Representatives of the path classes x -> y within the bound.
+
+        Classes are ordered by their lexicographically least arrow word,
+        which is the order a scan of ``enumerate_paths`` meets them in.
+        """
+        for v in (x, y):
+            if v not in self.schema.graph.vertices:
+                raise UnknownVertexError(v)
+        if self._homs is None:
+            homs: Dict[Tuple[VertexId, VertexId], List[Path]] = {}
+            seen = set()
+            for p in sorted(self._index.values(), key=lambda p: p.arrows):
+                root = self._uf.find(p.key())
+                if root not in seen:
+                    seen.add(root)
+                    homs.setdefault((p.start, p.end), []).append(self.representative(p))
+            self._homs = {k: tuple(reps) for k, reps in homs.items()}
+        return self._homs.get((x, y), ())
 
     def class_of(self, p: Path) -> List[Path]:
         if p.key() not in self._index:
@@ -434,9 +449,6 @@ def congruence_closure(
     for eq in axioms:
         uf.union(eq.lhs.key(), eq.rhs.key())
 
-    in_arrows = {v: sorted(schema.graph.in_arrows(v)) for v in schema.graph.vertices}
-    out_arrows = {v: sorted(schema.graph.out_arrows(v)) for v in schema.graph.vertices}
-
     # Fixpoint: within each class, unify every in-bound whiskering.  Simple
     # full passes; path universes here are small by construction.
     changed = True
@@ -449,7 +461,7 @@ def congruence_closure(
             if len(members) < 2:
                 continue
             start, end = members[0].start, members[0].end
-            for x in in_arrows[start]:
+            for x in schema.graph.in_arrows(start):
                 sx = schema.graph.src[x]
                 keys = [
                     (sx, (x,) + m.arrows)
@@ -459,7 +471,7 @@ def congruence_closure(
                 for k1, k2 in zip(keys, keys[1:]):
                     if uf.union(k1, k2):
                         changed = True
-            for y in out_arrows[end]:
+            for y in schema.graph.out_arrows(end):
                 keys = [
                     (m.start, m.arrows + (y,))
                     for m in members

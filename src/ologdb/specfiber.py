@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .dsl import path_from_expr
-from .instance import Instance, InvalidInstanceError, eval_path, validate
+from .instance import Instance, InvalidInstanceError, differing_rows, validate
 from .schema import (
     OlogError,
     Path,
@@ -80,9 +80,6 @@ class ClosureResult:
 
     def contains(self, eq: PathEquivalence) -> bool:
         return self.partition.same(eq.lhs, eq.rhs)
-
-    def contains_pair(self, lhs: Path, rhs: Path) -> bool:
-        return self.partition.same(lhs, rhs)
 
     def pairs(self) -> FrozenSet[Tuple[Path, Path]]:
         """Non-reflexive congruent pairs, canonically ordered."""
@@ -153,28 +150,25 @@ def entailment_order(
     empty_closure = closure(spec, [], max_len)
     closures[BOTTOM] = empty_closure
 
-    def equations_of(name: str) -> Tuple[PathEquivalence, ...]:
-        if name == BOTTOM:
-            return ()
-        return spec.fact(name).equations
+    equations = {f.name: f.equations for f in spec.facts}
+    equations[BOTTOM] = ()
 
     derived: Set[Tuple[str, str]] = set()
     for above in nodes:
         for below in nodes:
-            if all(closures[above].contains(eq) for eq in equations_of(below)):
+            if all(closures[above].contains(eq) for eq in equations[below]):
                 derived.add((above, below))
 
-    # Preorder closure over derived + asserted pairs.
-    holds: Set[Tuple[str, str]] = set(derived)
-    holds.update(asserted)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(holds):
-            for c, d in list(holds):
-                if b == c and (a, d) not in holds:
-                    holds.add((a, d))
-                    changed = True
+    # Preorder closure over derived + asserted pairs, by Warshall on the
+    # set of nodes below each node.
+    below_of: Dict[str, Set[str]] = {n: set() for n in nodes}
+    for a, b in derived.union(asserted):
+        below_of[a].add(b)
+    for m in nodes:
+        for a in nodes:
+            if m in below_of[a]:
+                below_of[a] |= below_of[m]
+    holds = {(a, b) for a in nodes for b in below_of[a]}
 
     def tag(a: str, b: str) -> str:
         return "Derived" if (a, b) in derived else "AssertedOnly"
@@ -232,11 +226,9 @@ def satisfies(instance: Instance, fact: Fact) -> SatisfactionResult:
     report = validate(instance)
     if not report.structurally_ok:
         raise InvalidInstanceError(report)
-    bad: List[Tuple[str, str]] = []
-    for eq in fact.equations:
-        for row in sorted(instance.rows(eq.lhs.start)):
-            if eval_path(instance, eq.lhs, row) != eval_path(instance, eq.rhs, row):
-                bad.append((str(eq), row))
+    bad = [
+        (str(eq), row) for eq in fact.equations for row in differing_rows(instance, eq)
+    ]
     return SatisfactionResult(holds=not bad, counterexamples=tuple(bad))
 
 

@@ -213,9 +213,18 @@ def random_schema(
             tar[a] = rng.choice(vertices)
     schema = Schema(name=name, graph=Graph(vertices, arrows, src, tar))
 
-    from ologdb.schema import all_paths_up_to
+    # Every path of length <= eq_len: vertices in declaration order, then
+    # arrow words in lexicographic order (a word before its extensions).
+    paths: List[Path] = []
 
-    paths = all_paths_up_to(schema, eq_len)
+    def go(start: str, at: str, word: Tuple[str, ...]) -> None:
+        paths.append(Path(start, at, word))
+        if len(word) < eq_len:
+            for a in sorted(x for x in arrows if src[x] == at):
+                go(start, tar[a], word + (a,))
+
+    for v in vertices:
+        go(v, v, ())
     by_ends: Dict[Tuple[str, str], List[Path]] = {}
     for p in paths:
         by_ends.setdefault((p.start, p.end), []).append(p)

@@ -266,6 +266,22 @@ def test_colimit_output_validates_against_target(psi, db_a):
     assert any(str(eq) == "l = p.h" for eq in out.schema.equivalences)
 
 
+@pytest.mark.parametrize("mode", list(SigmaMode))
+def test_sigma_builds_one_closure_per_call(monkeypatch, psi, db_a, mode):
+    import ologdb.migration as migration
+
+    calls = []
+    real = migration.congruence_closure
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(migration, "congruence_closure", counting)
+    sigma(psi, db_a, mode)
+    assert len(calls) == 1
+
+
 def test_sigma_refuses_invalid_instances(psi, db_a):
     columns = {a: dict(col) for a, col in db_a.columns.items()}
     del columns["c"][next(iter(db_a.rows("M")))]

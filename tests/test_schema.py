@@ -212,6 +212,33 @@ def test_closure_is_equivalence_and_whisker_closed():
                                              _as_path(schema, wq))
 
 
+def test_hom_matches_enumerate_and_dedupe_loop():
+    # Reference: the enumerate-then-dedupe loop hom() replaced, which meets
+    # classes in the order of their lexicographically least arrow word.
+    rng = random.Random(0x40B)
+    for _ in range(40):
+        schema = oracles.random_schema(rng, max_vertices=5, max_arrows=7,
+                                       n_equations=3)
+        bound = max(
+            [3] + [max(len(eq.lhs), len(eq.rhs)) for eq in schema.equivalences]
+        )
+        part = congruence_closure(schema, bound)
+        for x in schema.graph.vertices:
+            for y in schema.graph.vertices:
+                reps, seen = [], set()
+                for p in enumerate_paths(schema, x, y, bound):
+                    rep = part.representative(p)
+                    if rep.key() not in seen:
+                        seen.add(rep.key())
+                        reps.append(rep)
+                assert list(part.hom(x, y)) == reps, (x, y)
+
+
+def test_hom_rejects_unknown_vertex(schema_a):
+    with pytest.raises(UnknownVertexError):
+        congruence_closure(schema_a, 3).hom("M", "nowhere")
+
+
 def test_bound_smaller_than_axiom_is_an_error(schema_s):
     with pytest.raises(BoundTooSmallError) as exc:
         congruence_closure(schema_s, 2)

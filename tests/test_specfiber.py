@@ -163,6 +163,52 @@ def test_unknown_asserted_pair_rejected(silent_spec):
         entailment_order(silent_spec, 6, [("E1", "E99")])
 
 
+def test_order_relation_matches_pair_saturation_random():
+    # Reference: saturate the pair set until no composite pair is missing.
+    rng = random.Random(0x0DE5)
+    for _ in range(15):
+        schema = oracles.random_schema(rng, max_vertices=3, max_arrows=4,
+                                       n_equations=0)
+        paths = [schema.path(w) for _, w in oracles.all_dfs_paths(schema, 2) if w]
+        parallel = {}
+        for p in paths:
+            parallel.setdefault((p.start, p.end), []).append(p)
+        groups = [g for g in parallel.values() if len(g) > 1]
+        if not groups:
+            continue
+        facts = []
+        for i in range(6):
+            lhs, rhs = rng.sample(rng.choice(groups), 2)
+            facts.append(Fact(f"F{i}", (PathEquivalence(lhs, rhs),)))
+        spec = Specification(schema, tuple(facts))
+        nodes = spec.names() + [BOTTOM]
+        asserted = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(5)]
+        order = entailment_order(spec, 3, asserted)
+
+        closures = {n: closure(spec, [] if n == BOTTOM else [n], 3) for n in nodes}
+        equations = {f.name: f.equations for f in facts}
+        equations[BOTTOM] = ()
+        derived = {
+            (a, b)
+            for a in nodes
+            for b in nodes
+            if all(closures[a].contains(eq) for eq in equations[b])
+        }
+        holds = derived | set(asserted)
+        changed = True
+        while changed:
+            changed = False
+            for a, b in list(holds):
+                for c, d in list(holds):
+                    if b == c and (a, d) not in holds:
+                        holds.add((a, d))
+                        changed = True
+        assert {(e.above, e.below) for e in order.relation} == holds
+        for e in order.relation:
+            want = "Derived" if (e.above, e.below) in derived else "AssertedOnly"
+            assert e.tag == want
+
+
 def test_no_transitive_shortcuts_among_hasse_edges(silent_spec, asserted_pairs):
     order = entailment_order(silent_spec, 8, asserted_pairs)
     above = {}
