@@ -83,6 +83,8 @@ def _workspace_for(files: Sequence[FsPath], extra: Sequence[str]) -> Workspace:
 def _load_instance(path: FsPath, ws: Workspace,
                    expect: Optional[str] = None) -> Instance:
     data = json.loads(path.read_text("utf-8"))
+    if not isinstance(data, dict):
+        raise OlogError(f"instance {path.name} must be a JSON object")
     name = data.get("schema", "")
     if expect is not None and name != expect:
         raise OlogError(

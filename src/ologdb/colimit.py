@@ -89,8 +89,9 @@ def pushout_sets(
         (frozenset(members) for members in groups.values()),
         key=lambda cls: sorted(cls),
     )
-    include_x = {e: next(i for i, c in enumerate(classes) if ("x", e) in c) for e in x}
-    include_y = {e: next(i for i, c in enumerate(classes) if ("y", e) in c) for e in y}
+    index = {member: i for i, c in enumerate(classes) for member in c}
+    include_x = {e: index[("x", e)] for e in x}
+    include_y = {e: index[("y", e)] for e in y}
     return SetPushout(tuple(classes), include_x, include_y)
 
 

@@ -243,12 +243,13 @@ def apply_update(i: Instance, j: Instance, u: ProgressiveUpdate) -> UpdateResult
     for v, comp in u.components.items():
         if not i.schema.has_vertex(v):
             raise UpdateStructureError(f"component names unknown vertex {v!r}")
+        i_rows, j_rows = set(i.rows(v)), set(j.rows(v))
         for r, val in comp.items():
-            if not i.has_row(v, r):
+            if r not in i_rows:
                 raise UpdateStructureError(
                     f"component at {v!r} maps row {r!r} absent from the source"
                 )
-            if not j.has_row(v, val):
+            if val not in j_rows:
                 raise UpdateStructureError(
                     f"component at {v!r} sends {r!r} to {val!r}, "
                     f"absent from the target"
@@ -380,6 +381,8 @@ def instance_to_json(instance: Instance) -> str:
 
 
 def instance_from_dict(data: Mapping[str, object], schema: Schema) -> Instance:
+    if not isinstance(data, Mapping):
+        raise OlogError("an instance must be a JSON object")
     if data.get("schema") != schema.name:
         raise OlogError(
             f"instance is over schema {data.get('schema')!r}, expected {schema.name!r}"
@@ -397,11 +400,17 @@ def instance_from_dict(data: Mapping[str, object], schema: Schema) -> Instance:
             if not isinstance(row, Mapping) or "id" not in row:
                 raise OlogError(f"rows of table {v!r} need an 'id' field")
             rid = row["id"]
+            if not isinstance(rid, str):
+                raise OlogError(f"row id {rid!r} in table {v!r} must be a string")
             tables[v].append(rid)
             cols = row.get("cols", {})
             if not isinstance(cols, Mapping):
                 raise OlogError(f"row {rid!r} has a malformed 'cols' object")
             for a, target in cols.items():
+                if not isinstance(target, str):
+                    raise OlogError(
+                        f"cell {a!r} of row {rid!r} in table {v!r} must be a string"
+                    )
                 columns.setdefault(a, {})[rid] = target
     return make_instance(schema, tables, columns)
 

@@ -158,14 +158,9 @@ def check_translation(t: Translation, max_len: int = DEFAULT_MAX_LEN) -> Transla
         )
         partition = congruence_closure(t.target, needed)
         for src_eq, img in zip(t.source.equivalences, images):
-            derivable = img.lhs == img.rhs or (
-                len(img.lhs) <= needed
-                and len(img.rhs) <= needed
-                and partition.same(img.lhs, img.rhs)
-            )
             status = (
                 Derivability.DERIVABLE
-                if derivable
+                if partition.same(img.lhs, img.rhs)
                 else Derivability.NOT_DERIVABLE_WITHIN_BOUND
             )
             report.equivalence_status.append((src_eq, status))
@@ -249,6 +244,8 @@ def comma(F: Translation, G: Translation, max_len: int = DEFAULT_MAX_LEN) -> Com
 
     left_part = congruence_closure(F.source, max_len)
     right_part = congruence_closure(G.source, max_len)
+    F_image = {g[0]: F.path_image(g[0]) for g in left_part.classes()}
+    G_image = {g[0]: G.path_image(g[0]) for g in right_part.classes()}
     morphisms: List[CommaMorphism] = []
     for o1 in objects:
         for o2 in objects:
@@ -256,8 +253,8 @@ def comma(F: Translation, G: Translation, max_len: int = DEFAULT_MAX_LEN) -> Com
                 for r in right_part.hom(o1.right, o2.right):
                     # square: G(r) . f1  ==  f2 . F(q)   (diagrammatic order)
                     try:
-                        lhs = compose(F.path_image(q), o2.f)
-                        rhs = compose(o1.f, G.path_image(r))
+                        lhs = compose(F_image[q], o2.f)
+                        rhs = compose(o1.f, G_image[r])
                     except OlogError:
                         continue
                     if len(lhs) > max_len or len(rhs) > max_len:
@@ -349,8 +346,6 @@ def _sigma_colimit(F: Translation, I: Instance, max_len: int) -> Instance:
             fq = F.arrow_image(q)
             for f2 in part.hom(F.vertex_image(v2), d):
                 composite = compose(fq, f2)
-                if len(composite) > max_len:
-                    continue
                 if composite not in part:
                     continue
                 f1 = part.representative(composite)
@@ -396,7 +391,7 @@ def _sigma_colimit(F: Translation, I: Instance, max_len: int) -> Instance:
             values = set()
             for v, f, row in members:
                 composite = compose(f, g_path)
-                if len(composite) > max_len or composite not in part:
+                if composite not in part:
                     continue
                 f2 = part.representative(composite)
                 values.add(uf.find((d2, v, f2.key(), row)))
@@ -449,9 +444,7 @@ def _sigma_disjoint(F: Translation, I: Instance, max_len: int) -> Instance:
                     continue
                 for q in enumerate_paths(F.source, v, w, max_len):
                     image = F.path_image(q)
-                    if len(image) > max_len or image not in part:
-                        continue
-                    if part.same(image, g_path):
+                    if image in part and part.same(image, g_path):
                         if best is None or (len(q), q.arrows) < (len(best), best.arrows):
                             best = q
             lift_cache[key] = best

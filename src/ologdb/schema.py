@@ -441,46 +441,31 @@ def congruence_closure(
         if eq.lhs.start != eq.rhs.start or eq.lhs.end != eq.rhs.end:
             raise ParallelismError(f"axiom {eq} relates non-parallel paths")
 
-    paths = all_paths_up_to(schema, max_len)
-    index = {p.key(): p for p in paths}
+    graph = schema.graph
     uf = UnionFind()
-    for p in paths:
-        uf.add(p.key())
-    for eq in axioms:
-        uf.union(eq.lhs.key(), eq.rhs.key())
-
-    # Fixpoint: within each class, unify every in-bound whiskering.  Simple
-    # full passes; path universes here are small by construction.
-    changed = True
-    while changed:
-        changed = False
-        groups: Dict[object, List[Path]] = {}
-        for k, p in index.items():
-            groups.setdefault(uf.find(k), []).append(p)
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            start, end = members[0].start, members[0].end
-            for x in schema.graph.in_arrows(start):
-                sx = schema.graph.src[x]
-                keys = [
-                    (sx, (x,) + m.arrows)
-                    for m in members
-                    if len(m.arrows) + 1 <= max_len
-                ]
-                for k1, k2 in zip(keys, keys[1:]):
-                    if uf.union(k1, k2):
-                        changed = True
-            for y in schema.graph.out_arrows(end):
-                keys = [
-                    (m.start, m.arrows + (y,))
-                    for m in members
-                    if len(m.arrows) + 1 <= max_len
-                ]
-                for k1, k2 in zip(keys, keys[1:]):
-                    if uf.union(k1, k2):
-                        changed = True
-    return PathPartition(schema, max_len, paths, uf)
+    # Invariant: ``shortest`` maps each root key to a shortest member of its
+    # class (a key that never merged is its own).  A whiskering of p stays
+    # within the bound exactly when len(p) < max_len, so a class has an
+    # in-bound whiskering only if its shortest member does.  Merging two
+    # classes therefore queues just the whiskerings of their two shortest
+    # members; every other in-bound pair follows by transitivity.
+    shortest: Dict[object, Tuple[VertexId, Tuple[ArrowId, ...]]] = {}
+    pending = [(eq.lhs.key(), eq.rhs.key()) for eq in axioms]
+    while pending:
+        ra, rb = (uf.find(k) for k in pending.pop())
+        if ra == rb:
+            continue
+        (start, p), (_, q) = shortest.get(ra, ra), shortest.get(rb, rb)
+        uf.union(ra, rb)
+        shortest[uf.find(ra)] = (start, p if len(p) <= len(q) else q)
+        if len(p) < max_len and len(q) < max_len:
+            end = graph.tar[p[-1]] if p else start
+            for x in graph.in_arrows(start):
+                sx = graph.src[x]
+                pending.append(((sx, (x,) + p), (sx, (x,) + q)))
+            for y in graph.out_arrows(end):
+                pending.append(((start, p + (y,)), (start, q + (y,))))
+    return PathPartition(schema, max_len, all_paths_up_to(schema, max_len), uf)
 
 
 class Derivability(enum.Enum):

@@ -70,6 +70,38 @@ def test_validate_parse_error_exits_two(tmp_path):
     assert code == EXIT_BAD_INPUT
 
 
+def _validate_malformed(tmp_path, capsys, data):
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(data), "utf-8")
+    code, out = run_cli("validate", fixture("A.olog"), str(bad), "--schemas", FIXDIR)
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_validate_top_level_list_exits_two(tmp_path, capsys):
+    err = _validate_malformed(tmp_path, capsys, [{"schema": "A", "tables": {}}])
+    assert "JSON object" in err
+
+
+def test_validate_integer_row_id_exits_two(tmp_path, capsys):
+    data = json.loads(Path(fixture("DA.json")).read_text("utf-8"))
+    data["tables"]["D"][0]["id"] = 7
+    err = _validate_malformed(tmp_path, capsys, data)
+    assert "row id 7 in table 'D'" in err
+
+
+def test_validate_list_valued_cell_exits_two(tmp_path, capsys):
+    data = json.loads(Path(fixture("DA.json")).read_text("utf-8"))
+    row = data["tables"]["T"][0]
+    arrow = sorted(row["cols"])[0]
+    row["cols"][arrow] = [row["cols"][arrow]]
+    err = _validate_malformed(tmp_path, capsys, data)
+    assert f"cell {arrow!r} of row {row['id']!r} in table 'T'" in err
+
+
 # -- migrate -------------------------------------------------------------------
 
 

@@ -117,17 +117,11 @@ def test_compose_associative(data):
     schema = oracles.random_schema(rng, max_vertices=4, max_arrows=8,
                                    n_equations=0)
     words = oracles.all_dfs_paths(schema, 2)
-    triples = [
-        (p, q, r)
-        for p in words
-        for q in words
-        if _end(schema, p) == q[0]
-        for r in words
-        if _end(schema, q) == r[0]
-    ]
-    if not triples:
-        return
-    pk, qk, rk = rng.choice(triples)
+    # Draw a composable triple word by word; every vertex has its trivial
+    # path, so each draw has a candidate.
+    pk = rng.choice(words)
+    qk = rng.choice([w for w in words if w[0] == _end(schema, pk)])
+    rk = rng.choice([w for w in words if w[0] == _end(schema, qk)])
     p, q, r = (_as_path(schema, k) for k in (pk, qk, rk))
     assert compose(compose(p, q), r) == compose(p, compose(q, r))
 
@@ -163,11 +157,22 @@ def test_fulfills_class_in_premiere_schema(schema_a):
     assert part.representative(jc) == u  # length-lex least
 
 
+def _three_loops() -> Schema:
+    # a = b.b.b = c at bound 3: a.a ~ a.c must be derived, though the
+    # whiskering a.b.b.b of the axiom a = b.b.b exceeds the bound.
+    graph = Graph(("v",), ("a", "b", "c"), dict.fromkeys("abc", "v"),
+                  dict.fromkeys("abc", "v"))
+    a, bbb, c = (Path("v", "v", tuple(word)) for word in ("a", "bbb", "c"))
+    return Schema("L", graph, (PathEquivalence(a, bbb), PathEquivalence(bbb, c)))
+
+
 def test_closure_matches_naive_oracle_random():
     rng = random.Random(0xA11CE)
-    for _ in range(60):
-        schema = oracles.random_schema(rng, max_vertices=5, max_arrows=7,
-                                       n_equations=2)
+    schemas = [
+        oracles.random_schema(rng, max_vertices=5, max_arrows=7, n_equations=2)
+        for _ in range(60)
+    ]
+    for schema in schemas + [_three_loops()]:
         bound = max(
             [3] + [max(len(eq.lhs), len(eq.rhs)) for eq in schema.equivalences]
         )
