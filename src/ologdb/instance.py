@@ -125,6 +125,16 @@ def validate(instance: Instance) -> ValidationReport:
     Equivalence checking is exact and unbounded; it does not depend on the
     syntactic closure bound used elsewhere.
     """
+    report = _check_structure(instance)
+    for eq in instance.schema.equivalences:
+        bad_rows = differing_rows(instance, eq)
+        if bad_rows:
+            report.equivalence.append({"equation": str(eq), "rows": bad_rows})
+    return report
+
+
+def _check_structure(instance: Instance) -> ValidationReport:
+    """The structural half of ``validate``: tables, totality, foreign keys."""
     schema = instance.schema
     report = ValidationReport()
 
@@ -156,11 +166,6 @@ def validate(instance: Instance) -> ValidationReport:
                 )
             elif val not in tar_rows:
                 report.dangling.append({"arrow": a, "row": r, "target": val})
-
-    for eq in schema.equivalences:
-        bad_rows = differing_rows(instance, eq)
-        if bad_rows:
-            report.equivalence.append({"equation": str(eq), "rows": bad_rows})
     return report
 
 
@@ -358,19 +363,16 @@ def pullback_truth(chi: Mapping[str, bool]) -> FrozenSet[str]:
 
 
 def instance_to_dict(instance: Instance) -> Dict[str, object]:
+    graph = instance.schema.graph
     tables: Dict[str, List[Dict[str, object]]] = {}
     for v in sorted(instance.tables):
-        rows = []
-        for r in sorted(instance.rows(v)):
-            cols = {
-                a: instance.columns[a][r]
-                for a in sorted(instance.columns)
-                if r in instance.columns.get(a, {})
-                and instance.schema.graph.has_arrow(a)
-                and instance.schema.graph.src[a] == v
-            }
-            rows.append({"id": r, "cols": cols})
-        tables[v] = rows
+        # The columns of the schema arrows out of v, by arrow name.
+        out = [(a, col) for a, col in sorted(instance.columns.items())
+               if graph.has_arrow(a) and graph.src[a] == v]
+        tables[v] = [
+            {"id": r, "cols": {a: col[r] for a, col in out if r in col}}
+            for r in sorted(instance.rows(v))
+        ]
     return {"schema": instance.schema.name, "tables": tables}
 
 

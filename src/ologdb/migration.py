@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -322,90 +323,99 @@ def sigma(
 
 
 def _sigma_colimit(F: Translation, I: Instance, max_len: int) -> Instance:
-    target = F.target
+    target, source = F.target, F.source.graph
     part = congruence_closure(target, max_len)
+    rows = {v: I.rows(v) for v in source.vertices}
+    index = {v: {row: i for i, row in enumerate(rs)} for v, rs in rows.items()}
+    moved = {q: [index[source.tar[q]][I.cell(q, row)] for row in rows[source.src[q]]]
+             for q in source.arrows}
 
-    # Copies: (d, v, f-class-rep, row) for every source vertex v, path class
-    # f: F(v) -> d, row in I(v).
-    uf = UnionFind()
-    copies: Dict[VertexId, List[Tuple[VertexId, Path, str]]] = {}
+    # Copies: one block of consecutive ids per (d, v, f), f a path class
+    # F(v) -> d; id base + i is the copy of row i of I(v).
+    blocks: Dict[VertexId, List[Tuple[int, VertexId, Path]]] = {}
+    base_of: Dict[Tuple[VertexId, VertexId, object], int] = {}
+    n = 0
     for d in target.graph.vertices:
-        copies[d] = []
-        for v in F.source.graph.vertices:
+        blocks[d] = []
+        for v in source.vertices:
             for f in part.hom(F.vertex_image(v), d):
-                for row in I.rows(v):
-                    key = (d, v, f.key(), row)
-                    uf.add(key)
-                    copies[d].append((v, f, row))
+                blocks[d].append((n, v, f))
+                base_of[(d, v, f.key())] = n
+                n += len(rows[v])
 
     # Glue along source arrows: copy of x at (v1, [F(q) then f2]) is the same
     # element as the copy of I(q)(x) at (v2, f2).
+    uf = UnionFind()
     for d in target.graph.vertices:
-        for q in F.source.graph.arrows:
-            v1, v2 = F.source.graph.src[q], F.source.graph.tar[q]
-            fq = F.arrow_image(q)
+        for q in source.arrows:
+            v1, v2 = source.src[q], source.tar[q]
             for f2 in part.hom(F.vertex_image(v2), d):
-                composite = compose(fq, f2)
+                composite = compose(F.arrow_image(q), f2)
                 if composite not in part:
                     continue
-                f1 = part.representative(composite)
-                for row in I.rows(v1):
-                    uf.union((d, v1, f1.key(), row), (d, v2, f2.key(), I.cell(q, row)))
+                b1 = base_of[(d, v1, part.representative(composite).key())]
+                b2 = base_of[(d, v2, f2.key())]
+                for i, j in enumerate(moved[q]):
+                    uf.union(b1 + i, b2 + j)
 
-    # Name classes per target vertex.
-    class_members: Dict[VertexId, Dict[object, List[Tuple[VertexId, Path, str]]]] = {}
-    for d in target.graph.vertices:
-        groups: Dict[object, List[Tuple[VertexId, Path, str]]] = {}
-        for v, f, row in copies[d]:
-            groups.setdefault(uf.find((d, v, f.key(), row)), []).append((v, f, row))
-        class_members[d] = groups
-
-    class_id: Dict[object, str] = {}
+    # Name classes per target vertex, listed in the order of their first copy.
+    roots = [uf.find(c) for c in range(n)]
+    classes: Dict[VertexId, List[int]] = {}
+    class_id: Dict[int, str] = {}
     tables: Dict[VertexId, List[str]] = {}
     for d in target.graph.vertices:
-        anchor = trivial_path(d)
-        named: List[Tuple[str, object]] = []
-        for root, members in class_members[d].items():
-            # Prefer rows whose copy sits at the identity path class: those
-            # are the rows migrated into this table, the rest are reindexed
-            # copies riding along in the comma category.
-            direct = [row for _, f, row in members if f == anchor]
-            least = min(direct) if direct else min(row for _, _, row in members)
-            named.append((least, root))
-        named.sort(key=lambda t: (t[0], str(t[1])))
-        used: Dict[str, int] = {}
-        tables[d] = []
-        for least, root in named:
-            n = used.get(least, 0)
-            used[least] = n + 1
-            rid = least if n == 0 else f"{least}#{n + 1}"
-            class_id[root] = rid
-            tables[d].append(rid)
+        best: Dict[int, Tuple[bool, str]] = {}
+        root_key: Dict[int, Tuple[object, ...]] = {}
+        for base, v, f in blocks[d]:
+            # Prefer rows whose copy sits at the identity path class (False
+            # sorts first): those are the rows migrated into this table, the
+            # rest are reindexed copies riding along in the comma category.
+            off_anchor, f_key = f != trivial_path(d), f.key()
+            for c, row in enumerate(rows[v], base):
+                r = roots[c]
+                if r == c:
+                    root_key[r] = (d, v, f_key, row)
+                if r not in best or (off_anchor, row) < best[r]:
+                    best[r] = (off_anchor, row)
+        classes[d] = list(best)
+        named = [(best[r][1], r) for r in best]
+        ties = Counter(name for name, _ in named)
+        # Classes sharing a least row are ordered by their root copy's key.
+        named.sort(key=lambda t: (t[0], ties[t[0]] > 1 and str(root_key[t[1]])))
+        used: Counter = Counter()
+        for name, root in named:
+            used[name] += 1
+            class_id[root] = name if used[name] == 1 else f"{name}#{used[name]}"
+        tables[d] = [class_id[root] for _, root in named]
 
+    # Columns: each block at d follows g into a single block at d2.
     columns: Dict[ArrowId, Dict[str, str]] = {}
     for g in target.graph.arrows:
         d, d2 = target.graph.src[g], target.graph.tar[g]
-        g_path = Path(d, d2, (g,))
+        value: Dict[int, int] = {}
+        ambiguous = set()
+        for base, v, f in blocks[d]:
+            composite = compose(f, Path(d, d2, (g,)))
+            if composite not in part:
+                continue
+            base2 = base_of[(d2, v, part.representative(composite).key())]
+            k = len(rows[v])
+            for r, r2 in zip(roots[base:base + k], roots[base2:base2 + k]):
+                if value.setdefault(r, r2) != r2:
+                    ambiguous.add(r)
         col: Dict[str, str] = {}
-        for root, members in class_members[d].items():
-            values = set()
-            for v, f, row in members:
-                composite = compose(f, g_path)
-                if composite not in part:
-                    continue
-                f2 = part.representative(composite)
-                values.add(uf.find((d2, v, f2.key(), row)))
-            if not values:
+        for root in classes[d]:
+            if root not in value:
                 raise BoundOverflowError(
                     f"no member of class {class_id[root]!r} at {d!r} can follow "
                     f"arrow {g!r} within max_len={max_len}; raise the bound"
                 )
-            if len(values) > 1:
+            if root in ambiguous:
                 raise BoundOverflowError(
                     f"column {g!r} is ambiguous for class {class_id[root]!r}; "
                     f"the bound max_len={max_len} truncated the comma category"
                 )
-            col[class_id[root]] = class_id[values.pop()]
+            col[class_id[root]] = class_id[value[root]]
         columns[g] = col
     return make_instance(target, tables, columns)
 
@@ -421,41 +431,29 @@ def _sigma_disjoint(F: Translation, I: Instance, max_len: int) -> Instance:
     row_id: Dict[Tuple[VertexId, str], str] = {}
     for d in target.graph.vertices:
         tables[d] = []
-        used: Dict[str, int] = {}
+        used: Counter = Counter()
         for v in preimages[d]:
             for row in I.rows(v):
-                n = used.get(row, 0)
-                used[row] = n + 1
-                rid = row if n == 0 else f"{row}#{n + 1}"
+                used[row] += 1
+                rid = row if used[row] == 1 else f"{row}#{used[row]}"
                 row_id[(v, row)] = rid
                 tables[d].append(rid)
 
     # A column lifts when some source path out of v maps to the class of g.
-    lift_cache: Dict[Tuple[VertexId, ArrowId], Optional[Path]] = {}
-
-    def lift(v: VertexId, g: ArrowId) -> Optional[Path]:
-        key = (v, g)
-        if key not in lift_cache:
-            d2 = target.graph.tar[g]
-            g_path = Path(target.graph.src[g], d2, (g,))
-            best: Optional[Path] = None
+    columns: Dict[ArrowId, Dict[str, str]] = {}
+    for g in target.graph.arrows:
+        d, d2 = target.graph.src[g], target.graph.tar[g]
+        col: Dict[str, str] = {}
+        for v in preimages[d]:
+            q: Optional[Path] = None
             for w in F.source.graph.vertices:
                 if F.vertex_image(w) != d2:
                     continue
-                for q in enumerate_paths(F.source, v, w, max_len):
-                    image = F.path_image(q)
-                    if image in part and part.same(image, g_path):
-                        if best is None or (len(q), q.arrows) < (len(best), best.arrows):
-                            best = q
-            lift_cache[key] = best
-        return lift_cache[key]
-
-    columns: Dict[ArrowId, Dict[str, str]] = {}
-    for g in target.graph.arrows:
-        d = target.graph.src[g]
-        col: Dict[str, str] = {}
-        for v in preimages[d]:
-            q = lift(v, g)
+                for p in enumerate_paths(F.source, v, w, max_len):
+                    image = F.path_image(p)
+                    if image in part and part.same(image, Path(d, d2, (g,))):
+                        if q is None or (len(p), p.arrows) < (len(q), q.arrows):
+                            q = p
             if q is None:
                 continue
             for row in I.rows(v):

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .dsl import path_from_expr
-from .instance import Instance, InvalidInstanceError, differing_rows, validate
+from .instance import (Instance, InvalidInstanceError, _check_structure,
+                       differing_rows, validate)
 from .schema import (
     OlogError,
     Path,
@@ -223,9 +224,8 @@ def satisfies(instance: Instance, fact: Fact) -> SatisfactionResult:
     keys); violations of the schema's own declared equivalences do not block
     the check, since facts are routinely stronger than the schema.
     """
-    report = validate(instance)
-    if not report.structurally_ok:
-        raise InvalidInstanceError(report)
+    if not _check_structure(instance).structurally_ok:
+        raise InvalidInstanceError(validate(instance))
     bad = [
         (str(eq), row) for eq in fact.equations for row in differing_rows(instance, eq)
     ]

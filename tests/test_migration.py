@@ -7,6 +7,7 @@ import pytest
 
 from ologdb.instance import instance_to_json, make_instance, validate
 from ologdb.migration import (
+    BoundOverflowError,
     SigmaMode,
     Translation,
     TranslationError,
@@ -20,7 +21,18 @@ from ologdb.migration import (
     translation_to_dict,
     vertex_pick,
 )
-from ologdb.schema import Derivability, Path, PathEquivalence
+from ologdb.schema import (
+    Derivability,
+    Graph,
+    OlogError,
+    Path,
+    PathEquivalence,
+    Schema,
+    UnionFind,
+    compose,
+    congruence_closure,
+    trivial_path,
+)
 
 import oracles
 from conftest import (
@@ -290,6 +302,211 @@ def test_sigma_refuses_invalid_instances(psi, db_a):
 
     with pytest.raises(InvalidInstanceError):
         sigma(psi, broken, SigmaMode.COLIMIT)
+
+
+def _reference_sigma_colimit(F, I, max_len):
+    """Σ colimit keyed by (d, v, f, row) copies, one path lookup per row.
+
+    The implementation `sigma` used before copies became integer blocks;
+    its output and errors are the reference for the block version.
+    """
+    target = F.target
+    part = congruence_closure(target, max_len)
+    uf = UnionFind()
+    copies = {}
+    for d in target.graph.vertices:
+        copies[d] = []
+        for v in F.source.graph.vertices:
+            for f in part.hom(F.vertex_image(v), d):
+                for row in I.rows(v):
+                    uf.add((d, v, f.key(), row))
+                    copies[d].append((v, f, row))
+    for d in target.graph.vertices:
+        for q in F.source.graph.arrows:
+            v1, v2 = F.source.graph.src[q], F.source.graph.tar[q]
+            fq = F.arrow_image(q)
+            for f2 in part.hom(F.vertex_image(v2), d):
+                composite = compose(fq, f2)
+                if composite not in part:
+                    continue
+                f1 = part.representative(composite)
+                for row in I.rows(v1):
+                    uf.union((d, v1, f1.key(), row), (d, v2, f2.key(), I.cell(q, row)))
+    class_members = {}
+    for d in target.graph.vertices:
+        groups = {}
+        for v, f, row in copies[d]:
+            groups.setdefault(uf.find((d, v, f.key(), row)), []).append((v, f, row))
+        class_members[d] = groups
+    class_id = {}
+    tables = {}
+    for d in target.graph.vertices:
+        anchor = trivial_path(d)
+        named = []
+        for root, members in class_members[d].items():
+            direct = [row for _, f, row in members if f == anchor]
+            least = min(direct) if direct else min(row for _, _, row in members)
+            named.append((least, root))
+        named.sort(key=lambda t: (t[0], str(t[1])))
+        used = {}
+        tables[d] = []
+        for least, root in named:
+            n = used.get(least, 0)
+            used[least] = n + 1
+            rid = least if n == 0 else f"{least}#{n + 1}"
+            class_id[root] = rid
+            tables[d].append(rid)
+    columns = {}
+    for g in target.graph.arrows:
+        d, d2 = target.graph.src[g], target.graph.tar[g]
+        g_path = Path(d, d2, (g,))
+        col = {}
+        for root, members in class_members[d].items():
+            values = set()
+            for v, f, row in members:
+                composite = compose(f, g_path)
+                if composite not in part:
+                    continue
+                f2 = part.representative(composite)
+                values.add(uf.find((d2, v, f2.key(), row)))
+            if not values:
+                raise BoundOverflowError(
+                    f"no member of class {class_id[root]!r} at {d!r} can follow "
+                    f"arrow {g!r} within max_len={max_len}; raise the bound"
+                )
+            if len(values) > 1:
+                raise BoundOverflowError(
+                    f"column {g!r} is ambiguous for class {class_id[root]!r}; "
+                    f"the bound max_len={max_len} truncated the comma category"
+                )
+            col[class_id[root]] = class_id[values.pop()]
+        columns[g] = col
+    return make_instance(target, tables, columns)
+
+
+def _colimit_outcome(run):
+    try:
+        return instance_to_json(run())
+    except OlogError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def test_sigma_colimit_matches_reference_on_fixtures(psi, phi, db_a, db_a_1970):
+    for F, I in ((psi, db_a), (phi, db_a), (phi, db_a_1970)):
+        for bound in (8, 3, 2, 1):
+            got = _colimit_outcome(lambda: sigma(F, I, SigmaMode.COLIMIT, bound))
+            assert got == _colimit_outcome(
+                lambda: _reference_sigma_colimit(F, I, bound)
+            ), (F.source.name, bound)
+
+
+def test_sigma_colimit_matches_reference_random():
+    rng = random.Random(11)
+    checked = errors = ties = 0
+    while checked < 320:
+        target = oracles.random_schema(rng, max_vertices=3, max_arrows=4,
+                                       n_equations=rng.randint(1, 2), name="T")
+        source = oracles.random_schema(rng, max_vertices=3, max_arrows=3,
+                                       n_equations=0, name="S",
+                                       acyclic=rng.random() < 0.5)
+        F = _random_translation(rng, source, target, 2)
+        if F is None:
+            continue
+        I = oracles.random_instance(rng, source, max_rows=3)
+        bound = rng.randint(2, 4)
+        got = _colimit_outcome(lambda: sigma(F, I, SigmaMode.COLIMIT, bound))
+        want = _colimit_outcome(lambda: _reference_sigma_colimit(F, I, bound))
+        assert got == want, (target, source, F.vmap, F.amap, bound)
+        checked += 1
+        errors += isinstance(want, tuple)
+        ties += isinstance(want, str) and "#" in want
+    # Both branches are exercised: failures, and classes sharing a least row.
+    assert errors and ties
+
+
+def _one_vertex_schema(name, loops, equivalences=()):
+    return Schema(name=name,
+                  graph=Graph(("v0",), loops, {a: "v0" for a in loops},
+                              {a: "v0" for a in loops}),
+                  equivalences=equivalences)
+
+
+def test_sigma_colimit_orders_tied_classes_by_root_copy():
+    # Row v0r0 has a copy at id(v0) and one at a0, never glued, so two
+    # classes share the least row.  The a0 copy's key sorts first.
+    source = _one_vertex_schema("S", ())
+    target = _one_vertex_schema("T", ("a0",), (PathEquivalence(
+        Path("v0", "v0", ("a0", "a0")), Path("v0", "v0", ("a0",))),))
+    F = Translation(source, target, {"v0": "v0"}, {})
+    I = make_instance(source, {"v0": ["v0r0", "v0r1"]}, {})
+    out = sigma(F, I, SigmaMode.COLIMIT, max_len=3)
+    assert out.rows("v0") == ("v0r0", "v0r0#2", "v0r1", "v0r1#2")
+    assert out.columns["a0"] == {"v0r0": "v0r0", "v0r0#2": "v0r0",
+                                 "v0r1": "v0r1", "v0r1#2": "v0r1"}
+    assert instance_to_json(out) == instance_to_json(
+        _reference_sigma_colimit(F, I, 3))
+
+
+def test_sigma_colimit_no_member_can_follow_within_bound():
+    source = _one_vertex_schema("S", ())
+    target = Schema(name="T", graph=Graph(("v0", "v1"), ("a0",),
+                                          {"a0": "v0"}, {"a0": "v0"}))
+    F = Translation(source, target, {"v0": "v0"}, {})
+    I = make_instance(source, {"v0": ["v0r0", "v0r1"]}, {})
+    with pytest.raises(BoundOverflowError) as exc:
+        sigma(F, I, SigmaMode.COLIMIT, max_len=2)
+    assert str(exc.value) == (
+        "no member of class 'v0r0' at 'v0' can follow arrow 'a0' within "
+        "max_len=2; raise the bound"
+    )
+
+
+def test_sigma_colimit_ambiguous_column_within_bound():
+    source = _one_vertex_schema("S", ("a0", "a1"))
+    target = _one_vertex_schema("T", ("a0", "a1"), (PathEquivalence(
+        Path("v0", "v0", ("a0", "a1")), Path("v0", "v0", ("a0", "a0", "a0"))),))
+    F = Translation(source, target, {"v0": "v0"},
+                    {"a0": Path("v0", "v0", ("a0",)), "a1": trivial_path("v0")})
+    I = make_instance(source, {"v0": ["v0r0"]},
+                      {"a0": {"v0r0": "v0r0"}, "a1": {"v0r0": "v0r0"}})
+    with pytest.raises(BoundOverflowError) as exc:
+        sigma(F, I, SigmaMode.COLIMIT, max_len=3)
+    assert str(exc.value) == (
+        "column 'a0' is ambiguous for class 'v0r0'; the bound max_len=3 "
+        "truncated the comma category"
+    )
+
+
+def test_sigma_colimit_path_work_does_not_grow_with_rows(monkeypatch, psi, db_a):
+    import ologdb.migration as migration
+
+    calls = []
+    real = migration.compose
+
+    def counting(p, q):
+        calls.append((p, q))
+        return real(p, q)
+
+    def renamed(k):
+        def name(row):
+            return f"{row} [{k}]"
+        return ({v: [name(r) for r in rows] for v, rows in db_a.tables.items()},
+                {a: {name(r): name(x) for r, x in col.items()}
+                 for a, col in db_a.columns.items()})
+
+    copies = [renamed(k) for k in range(10)]
+    tables = {v: [r for t, _ in copies for r in t[v]] for v in db_a.tables}
+    columns = {a: {r: x for _, c in copies for r, x in c[a].items()}
+               for a in db_a.columns}
+    big = make_instance(db_a.schema, tables, columns)
+    assert big.total_rows() == 10 * db_a.total_rows()
+
+    monkeypatch.setattr(migration, "compose", counting)
+    sigma(psi, db_a, SigmaMode.COLIMIT)
+    small_calls = len(calls)
+    calls.clear()
+    sigma(psi, big, SigmaMode.COLIMIT)
+    assert small_calls > 0 and len(calls) == small_calls
 
 
 # -- colimit universal property ----------------------------------------------------

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from ologdb.instance import InvalidInstanceError, make_instance
+from ologdb.instance import InvalidInstanceError, make_instance, validate
 from ologdb.schema import Path, PathEquivalence
 from ologdb.specfiber import (
     BOTTOM,
@@ -253,6 +253,28 @@ def test_satisfies_refuses_structurally_broken_instances(db_s, silent_spec):
     broken = make_instance(db_s.schema, db_s.tables, columns)
     with pytest.raises(InvalidInstanceError):
         satisfies(broken, silent_spec.fact("E1"))
+
+
+def test_satisfies_refusal_carries_the_full_validation_report(db_s, silent_spec):
+    columns = {a: dict(col) for a, col in db_s.columns.items()}
+    del columns["u"][T_1952]
+    broken = make_instance(db_s.schema, db_s.tables, columns)
+    with pytest.raises(InvalidInstanceError) as exc:
+        satisfies(broken, silent_spec.fact("E1"))
+    assert str(exc.value) == str(InvalidInstanceError(validate(broken)))
+
+
+def test_satisfies_does_not_check_schema_equations(monkeypatch, db_s, silent_spec):
+    # A structurally sound instance needs no full validation: the schema's
+    # own equations are not what satisfies is asked about.
+    import ologdb.specfiber as specfiber
+
+    def refuse(instance):
+        raise AssertionError("satisfies ran the full validate")
+
+    monkeypatch.setattr(specfiber, "validate", refuse)
+    for fact in silent_spec.facts:
+        satisfies(db_s, fact)
 
 
 def test_satisfaction_is_antitone_in_fact_strength(schema_s, db_s):
