@@ -36,33 +36,25 @@ from .instance import (
     Instance,
     InvalidInstanceError,
     ProgressiveUpdate,
-    SubobjectClassifier,
     UpdateResult,
     ValidationReport,
     apply_update,
-    characteristic_function,
     elements,
     eval_path,
     instance_from_json,
     instance_to_json,
     make_instance,
-    pullback_truth,
     validate,
 )
 from .migration import (
-    CommaCategory,
-    CommaObject,
     SigmaMode,
     Translation,
     TranslationReport,
     check_translation,
-    comma,
     compose_translations,
     identity_translation,
     sigma,
     translation_from_json,
-    translation_to_json,
-    vertex_pick,
 )
 from .colimit import (
     SchemaPushout,

@@ -21,11 +21,13 @@ from .instance import (
     elements,
     instance_from_dict,
     instance_to_json,
+    json_text,
     validate,
 )
 from .migration import (
     SigmaMode,
     Translation,
+    TranslationError,
     sigma,
     translation_from_dict,
     translation_to_dict,
@@ -45,6 +47,15 @@ EXIT_VIOLATIONS = 1
 EXIT_BAD_INPUT = 2
 
 
+def _read_text(path: FsPath) -> str:
+    try:
+        return path.read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise OlogError(
+            f"{path.name} is not UTF-8 text: byte {exc.start} ({exc.reason})"
+        ) from None
+
+
 @dataclass
 class Workspace:
     """Schemas, instances and translations resolved by name at load time."""
@@ -62,10 +73,10 @@ class Workspace:
     def _load_schema_file(self, path: FsPath) -> None:
         name = path.stem
         if name not in self.schemas:
-            self.schemas[name] = parse_schema(path.read_text("utf-8"), name)
+            self.schemas[name] = parse_schema(_read_text(path), name)
 
     def schema(self, name: str) -> Schema:
-        if name not in self.schemas:
+        if not isinstance(name, str) or name not in self.schemas:
             raise OlogError(
                 f"schema {name!r} is not on the search path; pass --schemas"
             )
@@ -82,7 +93,7 @@ def _workspace_for(files: Sequence[FsPath], extra: Sequence[str]) -> Workspace:
 
 def _load_instance(path: FsPath, ws: Workspace,
                    expect: Optional[str] = None) -> Instance:
-    data = json.loads(path.read_text("utf-8"))
+    data = json.loads(_read_text(path))
     if not isinstance(data, dict):
         raise OlogError(f"instance {path.name} must be a JSON object")
     name = data.get("schema", "")
@@ -96,7 +107,9 @@ def _load_instance(path: FsPath, ws: Workspace,
 
 
 def _load_translation(path: FsPath, ws: Workspace) -> Translation:
-    data = json.loads(path.read_text("utf-8"))
+    data = json.loads(_read_text(path))
+    if not isinstance(data, dict):
+        raise TranslationError(f"translation {path.name} must be a JSON object")
     return translation_from_dict(
         data, ws.schema(data.get("source", "")), ws.schema(data.get("target", ""))
     )
@@ -163,17 +176,8 @@ def cmd_pushout(args: argparse.Namespace) -> int:
     po = pushout_schemas(phi, psi)
     sys.stdout.write(serialize_schema(po.result))
     print("#--- injections ---")
-    print(
-        json.dumps(
-            {
-                "inject_b": translation_to_dict(po.inject_b),
-                "inject_c": translation_to_dict(po.inject_c),
-            },
-            sort_keys=True,
-            ensure_ascii=False,
-            indent=2,
-        )
-    )
+    print(json_text({"inject_b": translation_to_dict(po.inject_b),
+                     "inject_c": translation_to_dict(po.inject_c)}))
     return EXIT_OK
 
 
@@ -197,7 +201,7 @@ def cmd_elements(args: argparse.Namespace) -> int:
             v: [r for _, r in cat.fiber(v)] for v in instance.schema.graph.vertices
         },
     }
-    print(json.dumps(out, sort_keys=True, ensure_ascii=False, indent=2))
+    print(json_text(out))
     return EXIT_OK
 
 
@@ -205,12 +209,11 @@ def cmd_lattice(args: argparse.Namespace) -> int:
     files = [FsPath(args.spec), FsPath(args.asserted), FsPath(args.schema)]
     ws = _workspace_for(files, args.schemas)
     schema = ws.schema(FsPath(args.schema).stem)
-    spec = parse_specification(FsPath(args.spec).read_text("utf-8"), schema)
-    asserted = parse_asserted(FsPath(args.asserted).read_text("utf-8"))
+    spec = parse_specification(_read_text(FsPath(args.spec)), schema)
+    asserted = parse_asserted(_read_text(FsPath(args.asserted)))
     order = entailment_order(spec, max_len=args.max_len, asserted=asserted)
     if args.format == "json":
-        print(json.dumps(order_to_dict(order), sort_keys=True, ensure_ascii=False,
-                         indent=2))
+        print(json_text(order_to_dict(order)))
     else:
         sys.stdout.write(render_hasse(order))
     return EXIT_OK
@@ -218,7 +221,7 @@ def cmd_lattice(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     path = FsPath(args.schema)
-    schema = parse_schema(path.read_text("utf-8"), path.stem)
+    schema = parse_schema(_read_text(path), path.stem)
     sys.stdout.write(_schema_dot(schema))
     return EXIT_OK
 

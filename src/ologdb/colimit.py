@@ -1,7 +1,7 @@
 """Pushouts of finite sets and of schemas along a span of translations.
 
 A set pushout glues the disjoint union X + Z + Y by z ~ f(z) and z ~ g(z).
-A schema pushout quotients the vertex sets the same way, takes the disjoint
+A schema pushout takes the set pushout of the vertex sets, the disjoint
 union of the arrow generators, and imposes three families of relations:
 images of both schemas' declared equivalences, and one coequalizing equation
 per apex arrow making the two induced translations agree.  The free category
@@ -24,7 +24,6 @@ from .schema import (
     Schema,
     UnionFind,
     VertexId,
-    trivial_path,
 )
 from .migration import Translation, check_translation
 
@@ -172,11 +171,12 @@ class SchemaPushout:
 def pushout_schemas(phi: Translation, psi: Translation) -> SchemaPushout:
     """Glue phi.target and psi.target along their common source schema.
 
-    Vertices are quotiented by phi(v) ~ psi(v); arrows of both targets are
-    kept as generators (prefixed ``b.`` and ``c.``), re-indexed to vertex
-    classes; the equivalence set is the union of both targets' equivalences
-    plus one coequalizing equation per apex arrow.  Merged vertex classes
-    are named by the sorted apex vertices mapping into them.
+    The vertex set is ``pushout_sets`` of the legs' vertex maps; arrows of
+    both targets are kept as generators (prefixed ``b.`` and ``c.``),
+    re-indexed to vertex classes; the equivalence set is the union of both
+    targets' equivalences plus one coequalizing equation per apex arrow.
+    Merged vertex classes are named by the sorted apex vertices mapping
+    into them.
     """
     if phi.source.name != psi.source.name:
         raise PushoutSetupError(
@@ -192,49 +192,40 @@ def pushout_schemas(phi: Translation, psi: Translation) -> SchemaPushout:
 
     B, C = phi.target, psi.target
     apex = phi.source
+    po = pushout_sets(B.graph.vertices, C.graph.vertices, apex.graph.vertices,
+                      phi.vmap, psi.vmap)
 
-    uf = UnionFind()
-    for v in B.graph.vertices:
-        uf.add(("b", v))
-    for v in C.graph.vertices:
-        uf.add(("c", v))
-    for v in apex.graph.vertices:
-        uf.union(("b", phi.vertex_image(v)), ("c", psi.vertex_image(v)))
-
-    groups = uf.groups()
-    # Name each class: apex preimage ids joined by "+", else b.<id> / c.<id>.
-    class_name: Dict[object, str] = {}
-    apex_hits: Dict[object, List[str]] = {}
-    for v in apex.graph.vertices:
-        root = uf.find(("b", phi.vertex_image(v)))
-        apex_hits.setdefault(root, []).append(v)
+    # Name each class: apex vertices in it joined by "+", else its least
+    # member as b.<id> / c.<id>; a repeated name is numbered.
+    names: List[str] = []
     used_names: Dict[str, int] = {}
-    for root in sorted(groups, key=lambda r: sorted(groups[r])):
-        members = groups[root]
-        if root in apex_hits:
-            name = "+".join(sorted(dict.fromkeys(apex_hits[root])))
+    for cls in po.classes:
+        members = sorted(cls)
+        hits = [v for tag, v in members if tag == "z"]
+        if hits:
+            name = "+".join(hits)
         else:
-            tag, vid = sorted(members)[0]
-            name = f"{tag}.{vid}"
+            tag, vid = members[0]
+            name = f"{'b' if tag == 'x' else 'c'}.{vid}"
         n = used_names.get(name, 0)
         used_names[name] = n + 1
-        class_name[root] = name if n == 0 else f"{name}#{n + 1}"
+        names.append(name if n == 0 else f"{name}#{n + 1}")
 
     def vclass(tag: str, v: VertexId) -> str:
-        return class_name[uf.find((tag, v))]
+        include = po.include_x if tag == "b" else po.include_y
+        return names[include[v]]
 
     # Vertices in deterministic order: sorted class names.
-    vertex_ids = sorted(set(class_name.values()))
+    vertex_ids = sorted(set(names))
 
-    def class_label(root: object) -> str:
-        members = sorted(groups[root])
-        for tag, vid in members:
-            if tag == "c":
-                return C.vertex_labels[vid]
-        tag, vid = members[0]
-        return B.vertex_labels[vid]
+    def class_label(cls: FrozenSet[Tuple[str, str]]) -> str:
+        # The least C member's label, else the least B member's.
+        c_members = [vid for tag, vid in cls if tag == "y"]
+        if c_members:
+            return C.vertex_labels[min(c_members)]
+        return B.vertex_labels[min(vid for tag, vid in cls if tag == "x")]
 
-    vertex_labels = {class_name[root]: class_label(root) for root in groups}
+    vertex_labels = {name: class_label(cls) for name, cls in zip(names, po.classes)}
 
     arrows: List[str] = []
     src: Dict[str, str] = {}

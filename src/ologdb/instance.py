@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .schema import (
     ArrowId,
@@ -116,7 +116,7 @@ class ValidationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, ensure_ascii=False, indent=2)
+        return json_text(self.to_dict())
 
 
 def validate(instance: Instance) -> ValidationReport:
@@ -221,12 +221,6 @@ class ProgressiveUpdate:
         return comp[row]
 
 
-def identity_update(instance: Instance) -> ProgressiveUpdate:
-    return ProgressiveUpdate(
-        {v: {r: r for r in instance.rows(v)} for v in instance.tables}
-    )
-
-
 @dataclass(frozen=True)
 class UpdateResult:
     natural: bool
@@ -279,14 +273,6 @@ def apply_update(i: Instance, j: Instance, u: ProgressiveUpdate) -> UpdateResult
     return UpdateResult(natural=not violations, violations=tuple(violations))
 
 
-def compose_updates(u: ProgressiveUpdate, w: ProgressiveUpdate) -> ProgressiveUpdate:
-    """Componentwise composite (u first, then w)."""
-    out: Dict[VertexId, Dict[str, str]] = {}
-    for v, comp in u.components.items():
-        out[v] = {r: w.component(v, val) for r, val in comp.items()}
-    return ProgressiveUpdate(out)
-
-
 # -- category of elements -----------------------------------------------------
 
 
@@ -331,35 +317,12 @@ def elements(instance: Instance) -> ElementsCategory:
     return ElementsCategory(objects, tuple(morphisms))
 
 
-# -- subobjects ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SubobjectClassifier:
-    """The two-valued truth object of finite sets."""
-
-    omega: FrozenSet[bool] = frozenset({True, False})
-    truth_point: Mapping[str, bool] = field(default_factory=lambda: {"*": True})
-
-
-def characteristic_function(
-    instance: Instance, parent: VertexId, sub: Iterable[str]
-) -> Dict[str, bool]:
-    """The predicate classifying ``sub`` inside the parent table."""
-    table = set(instance.rows(parent))
-    sub = set(sub)
-    extraneous = sorted(sub - table)
-    if extraneous:
-        raise UnknownRowError(parent, extraneous[0])
-    return {r: r in sub for r in instance.rows(parent)}
-
-
-def pullback_truth(chi: Mapping[str, bool]) -> FrozenSet[str]:
-    """Pull the truth point back along a characteristic function."""
-    return frozenset(r for r, val in chi.items() if val)
-
-
 # -- JSON interchange ---------------------------------------------------------
+
+
+def json_text(data: object) -> str:
+    """The JSON text of every output: sorted keys, raw UTF-8, two-space indent."""
+    return json.dumps(data, sort_keys=True, ensure_ascii=False, indent=2)
 
 
 def instance_to_dict(instance: Instance) -> Dict[str, object]:
@@ -377,9 +340,7 @@ def instance_to_dict(instance: Instance) -> Dict[str, object]:
 
 
 def instance_to_json(instance: Instance) -> str:
-    return json.dumps(
-        instance_to_dict(instance), sort_keys=True, ensure_ascii=False, indent=2
-    )
+    return json_text(instance_to_dict(instance))
 
 
 def instance_from_dict(data: Mapping[str, object], schema: Schema) -> Instance:

@@ -127,17 +127,6 @@ class TranslationReport:
     def ok(self) -> bool:
         return not self.hard_errors
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "ok": self.ok,
-            "structural": sorted(self.structural),
-            "endpoint_violations": self.endpoint_violations,
-            "equivalence_status": [
-                {"equation": str(eq), "status": d.value}
-                for eq, d in self.equivalence_status
-            ],
-        }
-
 
 def check_translation(t: Translation, max_len: int = DEFAULT_MAX_LEN) -> TranslationReport:
     """Verify totality, endpoint squares, and equivalence preservation.
@@ -199,85 +188,6 @@ def _check_structure(t: Translation) -> TranslationReport:
                  "got": f"{got[0]}->{got[1]}"}
             )
     return report
-
-
-# -- comma categories -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CommaObject:
-    """Triple (a, b, f) with f a target path-class from F(a) to G(b)."""
-
-    left: VertexId
-    right: VertexId
-    f: Path  # canonical class representative
-
-
-@dataclass(frozen=True)
-class CommaMorphism:
-    q: Path  # class representative in F's source
-    r: Path  # class representative in G's source
-    source: CommaObject
-    target: CommaObject
-
-
-@dataclass(frozen=True)
-class CommaCategory:
-    objects: Tuple[CommaObject, ...]
-    morphisms: Tuple[CommaMorphism, ...]
-
-
-def comma(F: Translation, G: Translation, max_len: int = DEFAULT_MAX_LEN) -> CommaCategory:
-    """The comma category (F down-to G) with morphism components up to
-    congruence, all path data bounded by max_len."""
-    if F.target.name != G.target.name:
-        raise TranslationError(
-            f"comma setup needs a shared apex: {F.target.name!r} vs {G.target.name!r}"
-        )
-    apex = F.target
-    apex_part = congruence_closure(apex, max_len)
-
-    objects: List[CommaObject] = []
-    for a in F.source.graph.vertices:
-        for b in G.source.graph.vertices:
-            for f in apex_part.hom(F.vertex_image(a), G.vertex_image(b)):
-                objects.append(CommaObject(a, b, f))
-
-    left_part = congruence_closure(F.source, max_len)
-    right_part = congruence_closure(G.source, max_len)
-    F_image = {g[0]: F.path_image(g[0]) for g in left_part.classes()}
-    G_image = {g[0]: G.path_image(g[0]) for g in right_part.classes()}
-    morphisms: List[CommaMorphism] = []
-    for o1 in objects:
-        for o2 in objects:
-            for q in left_part.hom(o1.left, o2.left):
-                for r in right_part.hom(o1.right, o2.right):
-                    # square: G(r) . f1  ==  f2 . F(q)   (diagrammatic order)
-                    try:
-                        lhs = compose(F_image[q], o2.f)
-                        rhs = compose(o1.f, G_image[r])
-                    except OlogError:
-                        continue
-                    if len(lhs) > max_len or len(rhs) > max_len:
-                        continue
-                    if apex_part.same(lhs, rhs):
-                        morphisms.append(CommaMorphism(q, r, o1, o2))
-    return CommaCategory(tuple(objects), tuple(morphisms))
-
-
-def terminal_schema(name: str = "1") -> Schema:
-    from .schema import Graph
-
-    return Schema(name=name, graph=Graph(("pt",), (), {}, {}),
-                  vertex_labels={"pt": "the point"})
-
-
-def vertex_pick(schema: Schema, vertex: VertexId, name: str = "1") -> Translation:
-    """The translation from the terminal schema selecting one vertex."""
-    if not schema.has_vertex(vertex):
-        raise TranslationError(f"unknown vertex {vertex!r} in {schema.name!r}")
-    return Translation(source=terminal_schema(name), target=schema,
-                       vmap={"pt": vertex}, amap={})
 
 
 # -- left pushforward -----------------------------------------------------------
@@ -475,23 +385,27 @@ def translation_to_dict(t: Translation) -> Dict[str, object]:
     }
 
 
-def translation_to_json(t: Translation) -> str:
-    return json.dumps(translation_to_dict(t), sort_keys=True, ensure_ascii=False,
-                      indent=2)
-
-
 def translation_from_dict(
     data: Mapping[str, object], source: Schema, target: Schema
 ) -> Translation:
+    if not isinstance(data, Mapping):
+        raise TranslationError("a translation must be a JSON object")
     if data.get("source") != source.name or data.get("target") != target.name:
         raise TranslationError(
             f"translation maps {data.get('source')!r} -> {data.get('target')!r}, "
             f"got schemas {source.name!r} -> {target.name!r}"
         )
-    vmap = dict(data.get("vmap", {}))
-    amap_raw: Mapping[str, List[str]] = data.get("amap", {})  # type: ignore[assignment]
+    vmap = data.get("vmap", {})
+    if not (isinstance(vmap, Mapping)
+            and all(isinstance(w, str) for w in vmap.values())):
+        raise TranslationError("translation 'vmap' must map vertex ids to vertex ids")
+    amap_raw = data.get("amap", {})
+    if not isinstance(amap_raw, Mapping):
+        raise TranslationError("translation 'amap' must map arrow ids to lists")
     amap: Dict[str, Path] = {}
     for a, word in amap_raw.items():
+        if not isinstance(word, list) or not all(isinstance(x, str) for x in word):
+            raise TranslationError(f"amap image of {a!r} must be a list of arrow ids")
         if not source.graph.has_arrow(a):
             raise TranslationError(f"amap covers unknown arrow {a!r}")
         if word:
@@ -504,7 +418,7 @@ def translation_from_dict(
                     f"{src_v!r}"
                 )
             amap[a] = trivial_path(vmap[src_v])
-    return Translation(source=source, target=target, vmap=vmap, amap=amap)
+    return Translation(source=source, target=target, vmap=dict(vmap), amap=amap)
 
 
 def translation_from_json(text: str, source: Schema, target: Schema) -> Translation:

@@ -406,15 +406,6 @@ class PathPartition:
         out.sort(key=lambda g: _class_sort_key(g[0]))
         return out
 
-    def nontrivial_pairs(self) -> List[Tuple[Path, Path]]:
-        """All (p, q) with p < q congruent and distinct, canonically ordered."""
-        pairs: List[Tuple[Path, Path]] = []
-        for group in self.classes():
-            for i, p in enumerate(group):
-                for q in group[i + 1 :]:
-                    pairs.append((p, q))
-        return pairs
-
 
 def congruence_closure(
     schema: Schema,

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .dsl import path_from_expr
 from .instance import (Instance, InvalidInstanceError, _check_structure,
                        differing_rows, validate)
 from .schema import (
     OlogError,
-    Path,
     PathEquivalence,
     PathPartition,
     Schema,
@@ -81,10 +80,6 @@ class ClosureResult:
 
     def contains(self, eq: PathEquivalence) -> bool:
         return self.partition.same(eq.lhs, eq.rhs)
-
-    def pairs(self) -> FrozenSet[Tuple[Path, Path]]:
-        """Non-reflexive congruent pairs, canonically ordered."""
-        return frozenset(self.partition.nontrivial_pairs())
 
 
 def closure(spec: Specification, subset: Sequence[str], max_len: int) -> ClosureResult:

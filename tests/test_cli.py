@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import subprocess
@@ -19,6 +20,14 @@ FIXDIR = str(fx.fixture_path("A.olog").parent)
 
 def fixture(name: str) -> str:
     return str(fx.fixture_path(name))
+
+
+def fixture_argv(argv):
+    """Resolve fixture file names in an argv to their bundled paths."""
+    return [
+        fixture(x) if x.endswith((".olog", ".json", ".spec", ".asserted")) else x
+        for x in argv
+    ]
 
 
 def run_cli(*argv: str):
@@ -154,6 +163,60 @@ def test_migrate_bad_translation_exits_two(tmp_path):
     assert code == EXIT_BAD_INPUT
 
 
+def _migrate_malformed(tmp_path, capsys, raw: bytes) -> str:
+    bad = tmp_path / "malformed.json"
+    bad.write_bytes(raw)
+    code, out = run_cli("migrate", str(bad), fixture("DA.json"), "--schemas", FIXDIR)
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def _identity_a() -> dict:
+    return {
+        "source": "A",
+        "target": "A",
+        "vmap": {v: v for v in fx.schema_a().graph.vertices},
+        "amap": {a: [a] for a in fx.schema_a().graph.arrows},
+    }
+
+
+def test_migrate_top_level_list_translation_exits_two(tmp_path, capsys):
+    err = _migrate_malformed(tmp_path, capsys, json.dumps([_identity_a()]).encode())
+    assert "must be a JSON object" in err
+
+
+@pytest.mark.parametrize("key", ["vmap", "amap"])
+def test_migrate_null_map_exits_two(tmp_path, capsys, key):
+    data = _identity_a()
+    data[key] = None
+    err = _migrate_malformed(tmp_path, capsys, json.dumps(data).encode())
+    assert repr(key) in err
+
+
+def test_migrate_non_utf8_translation_exits_two(tmp_path, capsys):
+    text = json.dumps(_identity_a()).replace('"A"', '"Ä"', 1)
+    err = _migrate_malformed(tmp_path, capsys, text.encode("latin-1"))
+    assert "malformed.json" in err and "UTF-8" in err
+
+
+def test_migrate_list_valued_schema_name_exits_two(tmp_path, capsys):
+    data = _identity_a()
+    data["source"] = ["A"]
+    err = _migrate_malformed(tmp_path, capsys, json.dumps(data).encode())
+    assert "['A']" in err
+
+
+def test_migrate_string_amap_word_exits_two(tmp_path, capsys):
+    # A bare string is not a word, even when its characters spell arrow ids.
+    data = _identity_a()
+    data["amap"]["u"] = "u"
+    err = _migrate_malformed(tmp_path, capsys, json.dumps(data).encode())
+    assert "'u'" in err and "list" in err
+
+
 # -- pushout -------------------------------------------------------------------
 
 
@@ -253,14 +316,28 @@ COMMANDS = [
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: "-".join(a[:3]))
 def test_commands_are_deterministic(argv):
-    full = [argv[0]] + [
-        fixture(x) if x.endswith((".olog", ".json", ".spec", ".asserted")) else x
-        for x in argv[1:]
-    ]
+    full = fixture_argv(argv)
     code1, out1 = run_cli(*full)
     code2, out2 = run_cli(*full)
     assert code1 == code2
     assert out1.encode() == out2.encode()
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text("utf-8"))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=lambda e: "-".join(e["argv"]))
+def test_golden_cli_digests(entry, capsys):
+    # Exit code and SHA-256 of stdout and stderr, recorded from the fixtures.
+    code = main(fixture_argv(entry["argv"]))
+    out, err = capsys.readouterr()
+    assert code == entry["exit"]
+    assert _sha256(out) == entry["stdout_sha256"]
+    assert _sha256(err) == entry["stderr_sha256"]
 
 
 def test_lattice_deterministic():

@@ -261,6 +261,22 @@ def test_pushout_rejects_broken_spans(schema_a, schema_b, phi, psi):
         pushout_schemas(broken, psi)
 
 
+def test_pushout_numbers_colliding_class_names():
+    # The apex vertex "b.X" glues B's Y to C's W, so that class is named
+    # "b.X"; B's unhit X falls back to the same name "b.X".  The class that
+    # sorts first (X's) keeps the name, the other is numbered.
+    apex = Schema(name="Z", graph=Graph(("b.X",), (), {}, {}))
+    b = Schema(name="B", graph=Graph(("X", "Y"), (), {}, {}),
+               vertex_labels={"X": "x", "Y": "y"})
+    c = Schema(name="C", graph=Graph(("W",), (), {}, {}), vertex_labels={"W": "w"})
+    po = pushout_schemas(Translation(apex, b, {"b.X": "Y"}, {}),
+                         Translation(apex, c, {"b.X": "W"}, {}))
+    assert po.result.graph.vertices == ("b.X", "b.X#2")
+    assert po.result.vertex_labels == {"b.X": "x", "b.X#2": "w"}
+    assert dict(po.inject_b.vmap) == {"X": "b.X", "Y": "b.X#2"}
+    assert dict(po.inject_c.vmap) == {"W": "b.X#2"}
+
+
 # -- random spans vs an independent construction -----------------------------------------
 
 

@@ -9,19 +9,14 @@ from ologdb.instance import (
     Instance,
     InvalidInstanceError,
     ProgressiveUpdate,
-    SubobjectClassifier,
     UnknownRowError,
     UpdateStructureError,
     apply_update,
-    characteristic_function,
-    compose_updates,
     elements,
     eval_path,
-    identity_update,
     instance_from_dict,
     instance_to_dict,
     make_instance,
-    pullback_truth,
     validate,
 )
 from ologdb.schema import trivial_path
@@ -130,15 +125,29 @@ def test_eval_composes_stepwise():
 # -- progressive updates -----------------------------------------------------------
 
 
+def _identity(instance):
+    return ProgressiveUpdate(
+        {v: {r: r for r in instance.rows(v)} for v in instance.tables}
+    )
+
+
+def _then(u, w):
+    """Componentwise composite of two updates, u first."""
+    return ProgressiveUpdate(
+        {v: {r: w.component(v, val) for r, val in comp.items()}
+         for v, comp in u.components.items()}
+    )
+
+
 def test_identity_update_is_natural(db_a):
-    result = apply_update(db_a, db_a, identity_update(db_a))
+    result = apply_update(db_a, db_a, _identity(db_a))
     assert result.natural
 
 
 def test_row_insertion_is_natural(db_a, db_a_1970):
     # The 1970 open-air rows extend the premiere database; the inclusion
     # with identity components is a lawful progressive update.
-    result = apply_update(db_a, db_a_1970, identity_update(db_a))
+    result = apply_update(db_a, db_a_1970, _identity(db_a))
     assert result.natural
 
 
@@ -182,11 +191,11 @@ def test_clean_report_means_rowwise_agreement(db_a, db_s):
 
 
 def test_insertion_then_identity_composes_naturally(db_a, db_a_1970):
-    into = identity_update(db_a)
-    onward = identity_update(db_a_1970)
+    into = _identity(db_a)
+    onward = _identity(db_a_1970)
     assert apply_update(db_a, db_a_1970, into).natural
     assert apply_update(db_a_1970, db_a_1970, onward).natural
-    composite = compose_updates(into, onward)
+    composite = _then(into, onward)
     assert apply_update(db_a, db_a_1970, composite).natural
 
 
@@ -197,11 +206,11 @@ def test_natural_updates_compose():
         schema = oracles.random_schema(rng, max_vertices=3, max_arrows=4,
                                        n_equations=0)
         i = oracles.random_instance(rng, schema, max_rows=2)
-        u = identity_update(i)
-        w = identity_update(i)
+        u = _identity(i)
+        w = _identity(i)
         if not apply_update(i, i, u).natural:
             continue
-        comp = compose_updates(u, w)
+        comp = _then(u, w)
         assert apply_update(i, i, comp).natural
         hits += 1
     assert hits > 0
@@ -247,54 +256,6 @@ def test_elements_refuses_invalid_instances(db_a):
     del columns["c"][SCORE]
     with pytest.raises(InvalidInstanceError):
         elements(make_instance(db_a.schema, tables, columns))
-
-
-# -- subobjects ----------------------------------------------------------------------
-
-
-def test_full_table_is_constantly_true(db_a):
-    chi = characteristic_function(db_a, "T", db_a.rows("T"))
-    assert all(chi.values())
-
-
-def test_actant_performer_predicate(schema_b):
-    # Both a listener and a performer live in the actant table; the
-    # performer predicate is the characteristic function of its subset.
-    actants = make_instance(
-        schema_b,
-        {"J": ["{David Tudor}", "{N.N.}"]},
-        {},
-    )
-    chi = characteristic_function(actants, "J", ["{David Tudor}"])
-    assert chi == {"{David Tudor}": True, "{N.N.}": False}
-    assert pullback_truth(chi) == frozenset({"{David Tudor}"})
-
-
-def test_characteristic_against_membership_oracle():
-    rng = random.Random(0x5EED)
-    for _ in range(100):
-        schema = oracles.random_schema(rng, max_vertices=3, max_arrows=0,
-                                       n_equations=0)
-        inst = oracles.random_instance(rng, schema, max_rows=5)
-        v = rng.choice(schema.graph.vertices)
-        rows = list(inst.rows(v))
-        sub = [r for r in rows if rng.random() < 0.5]
-        chi = characteristic_function(inst, v, sub)
-        for r in rows:
-            assert chi[r] == (r in sub)
-        assert pullback_truth(chi) == frozenset(sub)
-
-
-def test_extraneous_subset_rows_named(db_a):
-    with pytest.raises(UnknownRowError) as exc:
-        characteristic_function(db_a, "J", ["{Someone Else}"])
-    assert "{Someone Else}" in str(exc.value)
-
-
-def test_classifier_has_two_truth_values():
-    omega = SubobjectClassifier()
-    assert omega.omega == frozenset({True, False})
-    assert omega.truth_point["*"] is True
 
 
 # -- JSON round trip ------------------------------------------------------------------

@@ -12,14 +12,11 @@ from ologdb.migration import (
     Translation,
     TranslationError,
     check_translation,
-    comma,
     compose_translations,
     identity_translation,
     sigma,
-    terminal_schema,
     translation_from_dict,
     translation_to_dict,
-    vertex_pick,
 )
 from ologdb.schema import (
     Derivability,
@@ -95,67 +92,6 @@ def test_partial_vmap_is_structural_error(schema_a, schema_b, phi):
     broken = Translation(schema_a, schema_b, vmap, dict(phi.amap))
     report = check_translation(broken, 4)
     assert any("Q" in s for s in report.structural)
-
-
-# -- comma categories --------------------------------------------------------------
-
-
-def test_terminal_identity_comma():
-    one = terminal_schema()
-    ident = identity_translation(one)
-    cat = comma(ident, ident, max_len=4)
-    assert len(cat.objects) == 1
-    assert len(cat.morphisms) == 1
-    obj = cat.objects[0]
-    assert (obj.left, obj.right) == ("pt", "pt") and obj.f.is_trivial
-
-
-def test_comma_over_sounds_vertex_contains_ambient_triple(psi, schema_c):
-    pick = vertex_pick(schema_c, "A")
-    cat = comma(psi, pick, max_len=8)
-    triples = {(o.left, o.right, o.f.key()) for o in cat.objects}
-    assert ("E", "pt", ("A", ())) in triples  # (E, A, psi(id_A))
-    assert ("K", "pt", ("A", ())) in triples
-    assert ("A", "pt", ("A", ())) in triples
-    assert ("Q", "pt", ("Q", ("p",))) in triples
-    assert len(cat.objects) == 4
-
-
-def brute_force_comma_objects(F, G, max_len):
-    """Independent enumeration of (a, b, path-class) triples."""
-    apex = F.target
-    comp = oracles.naive_congruence(apex, max_len, apex.equivalences)
-    objects = set()
-    for a in F.source.graph.vertices:
-        for b in G.source.graph.vertices:
-            fa, gb = F.vmap[a], G.vmap[b]
-            classes = {
-                comp[key]
-                for key in oracles.dfs_paths(apex, fa, gb, max_len)
-            }
-            for cls in classes:
-                objects.add((a, b, cls))
-    return objects
-
-
-def test_comma_objects_match_bruteforce_random():
-    rng = random.Random(0xCAFE)
-    for _ in range(25):
-        apex = oracles.random_schema(rng, max_vertices=3, max_arrows=4,
-                                     n_equations=1, name="X")
-        src1 = oracles.random_schema(rng, max_vertices=2, max_arrows=2,
-                                     n_equations=0, name="S1")
-        src2 = oracles.random_schema(rng, max_vertices=2, max_arrows=2,
-                                     n_equations=0, name="S2")
-        f = _random_translation(rng, src1, apex, 2)
-        g = _random_translation(rng, src2, apex, 2)
-        if f is None or g is None:
-            continue
-        cat = comma(f, g, max_len=3)
-        comp = oracles.naive_congruence(apex, 3, apex.equivalences)
-        got = {(o.left, o.right, comp[o.f.key()]) for o in cat.objects}
-        want = brute_force_comma_objects(f, g, 3)
-        assert got == want
 
 
 def _random_translation(rng, source, target, max_image_len):
